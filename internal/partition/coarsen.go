@@ -57,11 +57,10 @@ type macroPair struct {
 	a, b, w int
 }
 
-// coarsen groups nodes into at most... as few macro-nodes as matching
-// allows, targeting m.Clusters macro-nodes, by repeated maximum-weight
-// matching over the macro graph. Merges that would overflow a single
-// cluster's capacity at the given ii are rejected, so a macro always fits in
-// one cluster.
+// coarsen groups nodes into macro-nodes by repeated maximum-weight matching
+// over the macro graph, stopping at m.Clusters macros or when no further
+// merge is possible. Merges that would overflow a single cluster's capacity
+// at the given ii are rejected, so a macro always fits in one cluster.
 func coarsen(g *ddg.Graph, m machine.Config, ii int, w []int, sc *Scratch) *macroSet {
 	// Coarsening cap: a macro must fit in at least one cluster, so use the
 	// largest per-class capacity across clusters at this ii.
@@ -89,38 +88,8 @@ func coarsen(g *ddg.Graph, m machine.Config, ii int, w []int, sc *Scratch) *macr
 	}
 	alive := n
 
-	if sc.agg == nil {
-		sc.agg = make(map[[2]int]int)
-	}
 	for alive > m.Clusters {
-		// Accumulate inter-macro edge weights.
-		clear(sc.agg)
-		for i := range g.Edges {
-			e := &g.Edges[i]
-			ma, mb := macroOf[e.Src], macroOf[e.Dst]
-			if ma == mb {
-				continue
-			}
-			if ma > mb {
-				ma, mb = mb, ma
-			}
-			sc.agg[[2]int{ma, mb}] += w[i]
-		}
-		pairs := sc.pairs[:0]
-		for k, ww := range sc.agg {
-			pairs = append(pairs, macroPair{a: k[0], b: k[1], w: ww})
-		}
-		sc.pairs = pairs
-		// Deterministic order: weight desc, then IDs.
-		slices.SortFunc(pairs, func(x, y macroPair) int {
-			if x.w != y.w {
-				return y.w - x.w
-			}
-			if x.a != y.a {
-				return x.a - y.a
-			}
-			return x.b - y.b
-		})
+		pairs := macroPairs(g, macroOf, w, sc)
 		matched := zeroed(sc.matched, n)
 		sc.matched = matched
 		merges := 0
@@ -149,10 +118,85 @@ func coarsen(g *ddg.Graph, m machine.Config, ii int, w []int, sc *Scratch) *macr
 		}
 		alive -= merges
 	}
+	return compactMacros(macroOf, counts, size, sc)
+}
 
-	// Compact: renumber live macros in increasing representative order. The
-	// counts/size/macroOf arrays are rewritten in place (the write index
-	// never passes the read index).
+// macroPairs returns one macroPair (a < b) per pair of distinct macros that
+// an edge connects, weighted by the sum of those edges' weights (memory
+// edges connect at weight 0), sorted by weight descending, then a, then b.
+// Edges are bucketed by their lower macro id with a counting sort and each
+// bucket's partner weights summed through a stamped slot array, so no map
+// is involved; the sort order is total, so the bucket walk cannot show in
+// the result.
+func macroPairs(g *ddg.Graph, macroOf, w []int, sc *Scratch) []macroPair {
+	n := len(macroOf)
+	// off[lo] ends as the end of bucket lo (the start of bucket lo+1).
+	off := zeroed(sc.bucketOff, n+1)
+	sc.bucketOff = off
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		if ma, mb := macroOf[e.Src], macroOf[e.Dst]; ma != mb {
+			off[min(ma, mb)+1]++
+		}
+	}
+	for lo := 0; lo < n; lo++ {
+		off[lo+1] += off[lo]
+	}
+	bucket := grown(sc.bucket, g.NumEdges())
+	sc.bucket = bucket
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		if ma, mb := macroOf[e.Src], macroOf[e.Dst]; ma != mb {
+			lo := min(ma, mb)
+			bucket[off[lo]] = int32(i)
+			off[lo]++
+		}
+	}
+
+	// slot[hi] indexes the pair (lo, hi) in pairs while hi is stamped for
+	// the current bucket.
+	slot := grown(sc.slot, n)
+	sc.slot = slot
+	pairs := grown(sc.pairs, g.NumEdges())[:0]
+	start := 0
+	for lo := 0; lo < n; lo++ {
+		end := off[lo]
+		if start == end {
+			continue
+		}
+		sc.seen.Reset(n)
+		for _, eid := range bucket[start:end] {
+			e := &g.Edges[eid]
+			hi := max(macroOf[e.Src], macroOf[e.Dst])
+			if !sc.seen.Has(int32(hi)) {
+				sc.seen.Set(int32(hi))
+				slot[hi] = len(pairs)
+				pairs = append(pairs, macroPair{a: lo, b: hi})
+			}
+			pairs[slot[hi]].w += w[eid]
+		}
+		start = end
+	}
+	sc.pairs = pairs
+	// Deterministic order: weight desc, then IDs.
+	slices.SortFunc(pairs, func(x, y macroPair) int {
+		if x.w != y.w {
+			return y.w - x.w
+		}
+		if x.a != y.a {
+			return x.a - y.a
+		}
+		return x.b - y.b
+	})
+	return pairs
+}
+
+// compactMacros renumbers the live macros (size > 0) of a coarsening in
+// increasing representative order and buckets their members. The
+// counts/size/macroOf arrays are rewritten in place (the write index never
+// passes the read index).
+func compactMacros(macroOf []int, counts [][ddg.NumClasses]int, size []int, sc *Scratch) *macroSet {
+	n := len(macroOf)
 	ms := &sc.ms
 	ms.n = 0
 	ms.macroOf = macroOf

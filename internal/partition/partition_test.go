@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -149,17 +150,79 @@ func TestCommsMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// quirkyGraph is randomGraph plus the corners the refinement's move deltas
+// must get right: stores (which never communicate), loop-carried
+// self-loops, duplicate producer→consumer edges and memory edges.
+func quirkyGraph(rng *rand.Rand, n int) *ddg.Graph {
+	b := ddg.NewBuilder("quirky")
+	ops := []ddg.OpKind{ddg.OpIAdd, ddg.OpIMul, ddg.OpFAdd, ddg.OpFMul, ddg.OpLoad, ddg.OpStore}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = b.Node("", ops[rng.Intn(len(ops))])
+	}
+	producer := func(hi int) (int, bool) {
+		for try := 0; try < 4; try++ {
+			if p := ids[rng.Intn(hi)]; b.Graph().Nodes[p].Op != ddg.OpStore {
+				return p, true
+			}
+		}
+		return 0, false
+	}
+	for i := 1; i < n; i++ {
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			p, ok := producer(i)
+			if !ok {
+				continue
+			}
+			b.Edge(p, ids[i], 0)
+			if rng.Intn(4) == 0 {
+				b.Edge(p, ids[i], rng.Intn(2)) // duplicate producer→consumer edge
+			}
+		}
+		if rng.Intn(5) == 0 {
+			b.MemEdge(ids[rng.Intn(i)], ids[i], rng.Intn(2))
+		}
+	}
+	for k := 0; k < 1+n/6; k++ {
+		v := ids[rng.Intn(n)]
+		if b.Graph().Nodes[v].Op != ddg.OpStore {
+			b.Edge(v, v, 1+rng.Intn(2)) // loop-carried self-loop
+		}
+	}
+	if p, ok := producer(n); ok && n > 2 {
+		b.Edge(p, ids[0], 1+rng.Intn(2)) // a recurrence
+	}
+	return b.MustBuild()
+}
+
 func TestRefineStateIncrementalConsistency(t *testing.T) {
-	// Property: after a random sequence of moves, incremental comm count and
-	// cut equal recomputed-from-scratch values.
+	// Properties: after a random sequence of moves, the incremental comm
+	// count, cut, resource IIs and overflow equal recomputed-from-scratch
+	// values; and for every node and target cluster, the score scoreMoves
+	// predicts without touching the state equals the score of applying the
+	// move, with the state unchanged by the prediction.
 	rng := rand.New(rand.NewSource(99))
-	m := machine.MustParse("4c2b2l64r")
-	for trial := 0; trial < 50; trial++ {
-		g := randomGraph(rng, 5+rng.Intn(20))
+	hetero, err := machine.NewHetero(2, 2, 32, [][ddg.NumClasses]int{
+		{2, 0, 1}, // no FP units
+		{1, 2, 1},
+		{0, 1, 2}, // no integer units
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines := []machine.Config{machine.MustParse("4c2b2l64r"), machine.MustParse("2c1b4l32r"), hetero}
+	for trial := 0; trial < 150; trial++ {
+		m := machines[trial%len(machines)]
+		var g *ddg.Graph
+		if trial%2 == 0 {
+			g = randomGraph(rng, 5+rng.Intn(20))
+		} else {
+			g = quirkyGraph(rng, 5+rng.Intn(30))
+		}
 		a := Initial(g, m, 6).Clone()
 		sc := NewScratch()
 		w := append([]int(nil), edgeWeights(g, m, 6, sc)...)
-		targetII := 2 + rng.Intn(6)
+		targetII := 1 + rng.Intn(8)
 		st := newRefineState(g, m, a, w, targetII, sc)
 		for k := 0; k < 30; k++ {
 			st.move(rng.Intn(g.NumNodes()), rng.Intn(a.K))
@@ -194,24 +257,35 @@ func TestRefineStateIncrementalConsistency(t *testing.T) {
 		if st.over != over {
 			t.Fatalf("trial %d: incremental overflow %d, recomputed %d", trial, st.over, over)
 		}
-	}
-}
 
-func TestPseudoLengthAccountsForBus(t *testing.T) {
-	// a -> b in different clusters: length grows by the bus latency.
-	b := ddg.NewBuilder("p")
-	x := b.Node("x", ddg.OpIAdd)
-	y := b.Node("y", ddg.OpIAdd)
-	b.Edge(x, y, 0)
-	g := b.MustBuild()
-	m := machine.MustParse("2c1b2l64r")
-	same := &Assignment{Cluster: []int{0, 0}, K: 2}
-	diff := &Assignment{Cluster: []int{0, 1}, K: 2}
-	if l := PseudoLength(g, m, same, 1); l != 2 {
-		t.Errorf("same-cluster length = %d, want 2", l)
-	}
-	if l := PseudoLength(g, m, diff, 1); l != 4 {
-		t.Errorf("cross-cluster length = %d, want 4 (1 + bus 2 + 1)", l)
+		for v := range g.Nodes {
+			before := st.score()
+			cluster := append([]int(nil), a.Cluster...)
+			st.scoreMoves(v)
+			if st.score() != before || !slices.Equal(a.Cluster, cluster) {
+				t.Fatalf("trial %d: scoreMoves(%d) changed the state", trial, v)
+			}
+			if slices.ContainsFunc(st.mult, func(n int32) bool { return n != 0 }) {
+				t.Fatalf("trial %d: scoreMoves(%d) left producer multiplicities behind", trial, v)
+			}
+			cur := a.Cluster[v]
+			if st.cand[cur] != before {
+				t.Fatalf("trial %d: node %d stay score %+v, current %+v", trial, v, st.cand[cur], before)
+			}
+			for c := 0; c < a.K; c++ {
+				if c == cur {
+					continue
+				}
+				predicted := st.cand[c]
+				st.move(v, c)
+				applied := st.score()
+				st.move(v, cur)
+				if predicted != applied {
+					t.Fatalf("trial %d (%s, II %d): node %d (%v) %d→%d predicted %+v, applied %+v",
+						trial, m.Name, targetII, v, g.Nodes[v].Op, cur, c, predicted, applied)
+				}
+			}
+		}
 	}
 }
 

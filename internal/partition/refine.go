@@ -11,36 +11,36 @@ import (
 // passes run until a pass makes no move. It reports whether the result is a
 // fixpoint: the final pass moved nothing (false means the pass budget ran
 // out mid-improvement).
+//
+// Each node's candidate moves are scored without changing the state
+// (best); only the winning move is applied. A pass that comes back round
+// to the node that made the last move stops early: every node has since
+// been evaluated against the current state and declined to move (the last
+// mover itself sits at its own minimum), so the rest of the pass is a
+// proven no-op and the result is the fixpoint the full pass would report.
 func refine(g *ddg.Graph, m machine.Config, ii int, a *Assignment, w []int, sc *Scratch) bool {
 	const maxPasses = 8
 	st := newRefineState(g, m, a, w, ii, sc)
-	moved := false
+	last := -1 // the node that made the most recent move
 	for pass := 0; pass < maxPasses; pass++ {
-		moved = false
+		moved := false
 		for v := range g.Nodes {
-			cur := a.Cluster[v]
-			before := st.score()
-			bestC, bestScore := cur, before
-			for c := 0; c < a.K; c++ {
-				if c == cur {
-					continue
-				}
-				st.move(v, c)
-				if s := st.score(); s.less(bestScore) {
-					bestScore, bestC = s, c
-				}
-				st.move(v, cur)
+			if v == last {
+				// last moved in an earlier pass and nothing has moved
+				// since: a move in this pass would have made an earlier
+				// node last.
+				return true
 			}
-			if bestC != cur {
-				st.move(v, bestC)
-				moved = true
+			if c := st.best(v); c != a.Cluster[v] {
+				st.move(v, c)
+				moved, last = true, v
 			}
 		}
 		if !moved {
-			break
+			return true
 		}
 	}
-	return !moved
+	return false
 }
 
 // score orders candidate partitions: first by how far any cluster's
@@ -70,9 +70,10 @@ func (s score) less(o score) bool {
 
 // refineState maintains the score incrementally under node moves: the
 // per-cluster class counts, resource IIs and total capacity overflow, the
-// communication set and the weighted cut are all updated in O(degree) per
-// move, so evaluating a candidate move is two moves plus an O(K) score
-// read — no full rescan. All buffers live in the Scratch arena.
+// communication set and the weighted cut are all updated in O(degree·K)
+// per move. best scores all of a node's candidate moves from deltas
+// against this state without changing it. All buffers live in the Scratch
+// arena.
 type refineState struct {
 	g *ddg.Graph
 	m machine.Config
@@ -91,6 +92,14 @@ type refineState struct {
 	comm    []int8
 	numComs int
 	wcut    int
+
+	// scoreMoves' per-node buffers: cand[c] is the score with v moved to
+	// c, wTo[c] the weight of v's data edges to neighbours in cluster c,
+	// dcom[c] the change in the communication count if v moves to c, and
+	// mult[p] the number of data edges p→v (zero between calls).
+	cand      []score
+	wTo, dcom []int
+	mult      []int32
 }
 
 func newRefineState(g *ddg.Graph, m machine.Config, a *Assignment, w []int, targetII int, sc *Scratch) *refineState {
@@ -105,9 +114,14 @@ func newRefineState(g *ddg.Graph, m machine.Config, a *Assignment, w []int, targ
 		resII:    grown(sc.resII, a.K),
 		consIn:   zeroed(sc.consIn, n*a.K),
 		comm:     grown(sc.comm, n),
+		cand:     grown(sc.cand, a.K),
+		wTo:      grown(sc.wTo, a.K),
+		dcom:     grown(sc.dcom, a.K),
+		mult:     zeroed(sc.mult, n),
 	}
 	sc.counts, sc.fu, sc.classII, sc.resII, sc.consIn, sc.comm =
 		st.counts, st.fu, st.classII, st.resII, st.consIn, st.comm
+	sc.cand, sc.wTo, sc.dcom, sc.mult = st.cand, st.wTo, st.dcom, st.mult
 	for c := 0; c < a.K; c++ {
 		for cl := 0; cl < ddg.NumClasses; cl++ {
 			st.fu[c*ddg.NumClasses+cl] = m.FUAt(c, ddg.Class(cl))
@@ -119,9 +133,7 @@ func newRefineState(g *ddg.Graph, m machine.Config, a *Assignment, w []int, targ
 	for c := 0; c < a.K; c++ {
 		for cl, n := range st.counts[c] {
 			st.classII[c*ddg.NumClasses+cl] = classCeil(n, st.fu[c*ddg.NumClasses+cl])
-			if ex := n - st.fu[c*ddg.NumClasses+cl]*st.targetII; ex > 0 {
-				st.over += ex
-			}
+			st.over += excess(n, st.fu[c*ddg.NumClasses+cl]*st.targetII)
 		}
 		st.resII[c] = st.clusterResII(c)
 	}
@@ -155,6 +167,14 @@ func classCeil(n, fu int) int {
 	return (n + fu - 1) / fu
 }
 
+// excess is how far n operations overflow a capacity of limit.
+func excess(n, limit int) int {
+	if n > limit {
+		return n - limit
+	}
+	return 0
+}
+
 // clusterResII folds the cached per-class ceilings of one cluster: the same
 // value as mii.ClusterResIIAt, without recomputing any division.
 func (st *refineState) clusterResII(c int) int {
@@ -162,6 +182,17 @@ func (st *refineState) clusterResII(c int) int {
 	for _, b := range st.classII[c*ddg.NumClasses : (c+1)*ddg.NumClasses] {
 		if b > res {
 			res = b
+		}
+	}
+	return res
+}
+
+// resIIWith is clusterResII(c) with class cl's ceiling replaced by b.
+func (st *refineState) resIIWith(c, cl, b int) int {
+	res := max(1, b)
+	for x, bx := range st.classII[c*ddg.NumClasses : (c+1)*ddg.NumClasses] {
+		if x != cl && bx > res {
+			res = bx
 		}
 	}
 	return res
@@ -176,12 +207,7 @@ func (st *refineState) bump(c, cl, d int) {
 	n0 := st.counts[c][cl]
 	n1 := n0 + d
 	st.counts[c][cl] = n1
-	if n0 > limit {
-		st.over -= n0 - limit
-	}
-	if n1 > limit {
-		st.over += n1 - limit
-	}
+	st.over += excess(n1, limit) - excess(n0, limit)
 	st.classII[idx] = classCeil(n1, fu)
 	st.resII[c] = st.clusterResII(c)
 }
@@ -280,4 +306,158 @@ func (st *refineState) score() score {
 		induced = b
 	}
 	return score{resOverflow: st.over, inducedII: induced, coms: st.numComs, wcut: st.wcut}
+}
+
+// best returns the cluster v should move to: the candidate whose move gives
+// the strictly lowest score, the lowest such cluster on ties, or v's own
+// cluster when no move improves on the current score.
+func (st *refineState) best(v int) int {
+	st.scoreMoves(v)
+	bestC := st.a.Cluster[v]
+	for c, s := range st.cand {
+		if s.less(st.cand[bestC]) {
+			bestC = c
+		}
+	}
+	return bestC
+}
+
+// scoreMoves sets cand[c] to the score the state would have with v moved
+// to cluster c (cand[v's cluster] is the current score), without changing
+// the state: one sweep over v's data edges yields each candidate's change
+// in weighted cut and communication count, and the resource terms change
+// only in v's class on the two clusters involved.
+func (st *refineState) scoreMoves(v int) {
+	g, a, k := st.g, st.a, st.a.K
+	cur := a.Cluster[v]
+	wTo, dcom := st.wTo, st.dcom
+	clear(wTo)
+	clear(dcom)
+
+	// Weighted cut: moving v from cur to c uncuts its edges to c and cuts
+	// its edges to cur, so Δwcut(c) = wTo[cur] − wTo[c]. Self-loops never
+	// cross.
+	self := int32(0)
+	for _, eid := range g.Out(v) {
+		e := &g.Edges[eid]
+		if e.Kind != ddg.EdgeData {
+			continue
+		}
+		if e.Dst == v {
+			self++
+			continue
+		}
+		wTo[a.Cluster[e.Dst]] += st.w[eid]
+	}
+	for _, eid := range g.In(v) {
+		e := &g.Edges[eid]
+		if e.Kind != ddg.EdgeData || e.Src == v {
+			continue
+		}
+		wTo[a.Cluster[e.Src]] += st.w[eid]
+		st.mult[e.Src]++
+	}
+
+	// Producers: v carries mult[p] of p's consumer edges from cur to c. If
+	// p keeps a consumer on a foreign cluster other than through v, it
+	// communicates wherever v goes. Otherwise it communicates after the
+	// move exactly when c ≠ hp, its own cluster: every target but hp gains
+	// a communication when cur = hp, and only hp loses one when cur ≠ hp.
+	for _, eid := range g.In(v) {
+		p := g.Edges[eid].Src
+		mp := st.mult[p]
+		if mp == 0 {
+			continue // not a data producer, or already counted
+		}
+		st.mult[p] = 0
+		if g.Nodes[p].Op.IsStore() {
+			continue
+		}
+		hp := a.Cluster[p]
+		foreign := false
+		for c, n := range st.consIn[p*k : (p+1)*k] {
+			if c == cur {
+				n -= mp
+			}
+			if c != hp && n > 0 {
+				foreign = true
+				break
+			}
+		}
+		switch {
+		case foreign:
+		case cur == hp:
+			for c := range dcom {
+				if c != hp {
+					dcom[c]++
+				}
+			}
+		default:
+			dcom[hp]--
+		}
+	}
+
+	// v itself: after the move it communicates when a cluster other than c
+	// holds one of its consumers other than v (self-loops travel with it).
+	// used counts the clusters holding such a consumer, so that is
+	// used−1 > 0 when c is one of them and used > 0 when it is not.
+	if !g.Nodes[v].Op.IsStore() {
+		row := st.consIn[v*k : (v+1)*k]
+		used := 0 // clusters holding a consumer of v other than v
+		for c, n := range row {
+			if c == cur {
+				n -= self
+			}
+			if n > 0 {
+				used++
+			}
+		}
+		was := int(st.comm[v])
+		for c, n := range row {
+			if c == cur {
+				continue
+			}
+			if n > 0 {
+				dcom[c] += b2i(used > 1) - was
+			} else {
+				dcom[c] += b2i(used > 0) - was
+			}
+		}
+	}
+
+	// Resources: only class cl on cur and on the target change.
+	cl := int(g.Nodes[v].Op.Class())
+	limit := st.fu[cur*ddg.NumClasses+cl] * st.targetII
+	n0 := st.counts[cur][cl]
+	overCur := st.over + excess(n0-1, limit) - excess(n0, limit)
+	resCur := st.resIIWith(cur, cl, classCeil(n0-1, st.fu[cur*ddg.NumClasses+cl]))
+
+	st.cand[cur] = st.score()
+	for c := 0; c < k; c++ {
+		if c == cur {
+			continue
+		}
+		fu := st.fu[c*ddg.NumClasses+cl]
+		n1 := st.counts[c][cl] + 1
+		res := max(resCur, st.resIIWith(c, cl, classCeil(n1, fu)))
+		for x, r := range st.resII {
+			if x != cur && x != c && r > res {
+				res = r
+			}
+		}
+		coms := st.numComs + dcom[c]
+		st.cand[c] = score{
+			resOverflow: overCur + excess(n1, fu*st.targetII) - excess(n1-1, fu*st.targetII),
+			inducedII:   max(res, st.m.MinBusII(coms)),
+			coms:        coms,
+			wcut:        st.wcut + wTo[cur] - wTo[c],
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

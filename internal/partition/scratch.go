@@ -24,6 +24,10 @@ type Scratch struct {
 	resII   []int
 	consIn  []int32
 	comm    []int8
+	cand    []score
+	wTo     []int
+	dcom    []int
+	mult    []int32
 
 	// coarsen
 	ms      macroSet
@@ -31,12 +35,16 @@ type Scratch struct {
 	mcounts [][ddg.NumClasses]int
 	msize   []int
 	pairs   []macroPair
-	agg     map[[2]int]int
 	matched []bool
 	live    []int
 	memFlat []int
 	memOff  []int
 	compact []int
+	// macroPairs' edge buckets and stamped accumulation slots
+	bucketOff []int
+	bucket    []int32
+	slot      []int
+	seen      arena.Marks
 
 	// assignMacros
 	capacity  [][ddg.NumClasses]int
